@@ -15,14 +15,21 @@
 //     size, which is the expensive part.
 //
 // Emitting a score.Set after u updates therefore costs O(u·deg + K² + K·N)
-// instead of the O(|Vd| + |Ed|) full rescan of score.Compute. The paper's
-// companion observation — "the optimal previews cannot be incrementally
-// updated" — still holds: rerun discovery on the refreshed Set.
+// instead of the O(|Vd| + |Ed|) full rescan of score.Compute. Publishing
+// the immutable entity graph (Freeze) adds O(1) when the updates only
+// repeated existing edges, O(|Vd|) when they added entities or entity
+// types, and O(|Ed|) of mostly copying when they added relationship
+// pairs; only a new type or relationship type pays a full rebuild. The
+// paper's companion observation — "the optimal previews cannot be
+// incrementally updated" — still holds: rerun discovery on the
+// refreshed Set.
 package dynamic
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/uta-db/previewtables/internal/graph"
@@ -65,6 +72,23 @@ type Graph struct {
 	// type), which voids any incremental carry-forward.
 	dirtyTypes map[graph.TypeID]struct{}
 	structural bool
+
+	// fz is what Freeze reuses: the last graph it returned and what has
+	// changed since.
+	fz freezeState
+}
+
+// freezeState records the last successful Freeze and, since then, which
+// parts of the frozen graph went stale. The flags are set where the data
+// changes and cleared only by a successful Freeze, so a failed one leaves
+// them for the next to rebuild. A schema change needs no flag: the type
+// and relationship-type counts no longer match the parts.
+type freezeState struct {
+	g     *graph.EntityGraph // nil until the first successful Freeze
+	parts graph.Parts        // what g was assembled from
+
+	ents bool   // a new entity, or an entity gained a type
+	rels []bool // per relationship type: its value sets gained a pair
 }
 
 // markDirty records that type t's measure inputs moved.
@@ -112,6 +136,7 @@ type valueHist struct {
 	groups map[string]int                      // value-set key → tuple count
 	total  int                                 // Σ counts (non-empty tuples)
 	clogc  float64                             // Σ c·log10(c) over groups
+	pairs  int                                 // Σ value-set sizes
 }
 
 func newValueHist() *valueHist {
@@ -137,6 +162,7 @@ func (h *valueHist) add(e, v graph.EntityID) bool {
 	vals[i] = v
 	h.values[e] = vals
 	h.bump(vals, +1)
+	h.pairs++
 	return true
 }
 
@@ -218,6 +244,7 @@ func (g *Graph) RelType(name string, from, to graph.TypeID) (graph.RelTypeID, er
 	g.hist = append(g.hist, [2]*valueHist{newValueHist(), newValueHist()})
 	g.relByKey[k] = id
 	g.structural = true
+	g.fz.rels = append(g.fz.rels, false)
 	return id, nil
 }
 
@@ -233,6 +260,7 @@ func (g *Graph) Entity(name string, types ...graph.TypeID) graph.EntityID {
 		g.entNames = append(g.entNames, name)
 		g.entTypes = append(g.entTypes, nil)
 		g.entByName[name] = id
+		g.fz.ents = true
 	}
 	for _, t := range types {
 		g.addType(id, t)
@@ -252,6 +280,7 @@ func (g *Graph) addType(e graph.EntityID, t graph.TypeID) {
 	g.entTypes[e] = ts
 	g.coverage[t]++
 	g.markDirty(t)
+	g.fz.ents = true
 }
 
 // AddEdge inserts one relationship instance and updates every affected
@@ -271,7 +300,11 @@ func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
 	g.addType(to, rt.To)
 	g.rels[rel].EdgeCount++
 	g.edges++
-	g.hist[rel][0].add(from, to)
+	// The two orientations hold the same pairs, so the outgoing side
+	// alone tells whether the frozen edge segment went stale.
+	if g.hist[rel][0].add(from, to) {
+		g.fz.rels[rel] = true
+	}
 	g.hist[rel][1].add(to, from)
 	// The edge moves the relationship count and both orientations'
 	// entropy — non-key inputs of exactly the two endpoint types.
@@ -376,39 +409,151 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 }
 
 // Freeze materializes the current state as an immutable EntityGraph for
-// interop with rendering and tuple materialization. This is a full O(|Vd| +
-// |Ed|) rebuild — use it when you need tuples, not scores.
+// interop with rendering and tuple materialization.
 //
-// Note: Freeze rebuilds edges from the deduplicated value sets, so parallel
-// duplicate edges collapse; every scoring measure is unaffected except
-// relationship coverage, which Freeze preserves by construction through
-// the maintained counts (the rebuilt graph re-counts, so its counts reflect
-// the deduplicated edges — documented divergence for multigraph duplicates).
+// The frozen graph holds each relationship's deduplicated pairs: edges
+// are regenerated from the outgoing value sets, ordered by relationship,
+// then source, then value, so parallel duplicate edges collapse and each
+// relationship type's EdgeCount is its deduplicated count. Stats and the
+// coverage measures, which read the maintained counters, still count the
+// duplicates; every other measure is unaffected.
+//
+// Its cost follows what changed since the previous Freeze, which it
+// keeps:
+//
+//   - nothing that reaches the frozen graph (a batch of parallel edges,
+//     say): the previous graph is returned as is, in O(1);
+//   - a new entity, or an entity gaining a type: the entity table and
+//     per-type lists are rebuilt in O(|Vd|), reusing each unchanged
+//     entity's record; a new entity also rebuilds the name map and the
+//     adjacency, which has a row per entity;
+//   - a relationship gaining a pair: that relationship's edge segment is
+//     regenerated from its value sets, every other segment is copied
+//     from the previous graph, and the adjacency is rebuilt, O(|Ed|)
+//     with a small constant;
+//   - a new type or relationship type: everything is rebuilt.
+//
+// Whatever did not change is shared with the previous frozen graph. A
+// failed Freeze (an entity left without a type) caches nothing, so the
+// next call rebuilds what this one could not.
 func (g *Graph) Freeze() (*graph.EntityGraph, error) {
-	var b graph.Builder
-	for _, name := range g.typeNames {
-		b.Type(name)
+	fz := &g.fz
+	full := fz.g == nil || len(fz.parts.Types) != len(g.typeNames) || len(fz.parts.RelTypes) != len(g.rels)
+	relsChanged := slices.Contains(fz.rels, true)
+	if !full && !fz.ents && !relsChanged {
+		return fz.g, nil
 	}
-	relIDs := make([]graph.RelTypeID, len(g.rels))
-	for i, r := range g.rels {
-		relIDs[i] = b.RelType(r.Name, r.From, r.To)
+	p := fz.parts
+	if full {
+		p = graph.Parts{TypeByName: maps.Clone(g.typeByName)}
 	}
-	for i, name := range g.entNames {
-		b.Entity(name, g.entTypes[i]...)
+	if full || fz.ents {
+		g.freezeEntities(&p)
 	}
-	for ri := range g.rels {
-		h := g.hist[ri][0]
-		// Deterministic edge order: sources ascending, then values.
-		srcs := make([]graph.EntityID, 0, len(h.values))
+	if full || relsChanged {
+		g.freezeEdges(&p)
+	}
+	frozen, err := graph.Assemble(p, fz.g)
+	if err != nil {
+		return nil, err
+	}
+	fz.g, fz.parts, fz.ents = frozen, p, false
+	clear(fz.rels)
+	return frozen, nil
+}
+
+// freezeEntities rebuilds the entity table, the entity name map and the
+// per-type entity lists into p, which holds the previous Freeze's parts
+// or none. An entity whose type count is unchanged keeps its previous
+// record — types are only ever added, so an equal count is an equal set
+// — and the name map is kept when no entity was added.
+func (g *Graph) freezeEntities(p *graph.Parts) {
+	prev := p.Entities
+	if len(prev) != len(g.entNames) {
+		// A presized fresh map builds several times faster than
+		// maps.Clone of entByName.
+		p.EntityByName = make(map[string]graph.EntityID, len(g.entNames))
+		for i, name := range g.entNames {
+			p.EntityByName[name] = graph.EntityID(i)
+		}
+	}
+	same := func(i int) bool { return i < len(prev) && len(prev[i].Types) == len(g.entTypes[i]) }
+	fresh := 0
+	for i, ts := range g.entTypes {
+		if !same(i) {
+			fresh += len(ts)
+		}
+	}
+	// Changed type lists are copied out of entTypes, which addType edits
+	// in place, into one backing array.
+	backing := make([]graph.TypeID, 0, fresh)
+	ents := make([]graph.Entity, len(g.entNames))
+	for i, ts := range g.entTypes {
+		if same(i) {
+			ents[i] = prev[i]
+			continue
+		}
+		n := len(backing)
+		backing = append(backing, ts...)
+		ents[i] = graph.Entity{Name: g.entNames[i], Types: backing[n:len(backing):len(backing)]}
+	}
+	types := make([]graph.EntityType, len(g.typeNames))
+	total := 0
+	for _, c := range g.coverage {
+		total += c
+	}
+	members := make([]graph.EntityID, 0, total)
+	for t, name := range g.typeNames {
+		types[t].Name = name
+		if c := g.coverage[t]; c > 0 {
+			types[t].Entities = members[len(members) : len(members) : len(members)+c]
+			members = members[:len(members)+c]
+		}
+	}
+	for i, ts := range g.entTypes {
+		for _, t := range ts {
+			types[t].Entities = append(types[t].Entities, graph.EntityID(i))
+		}
+	}
+	p.Entities, p.Types = ents, types
+}
+
+// freezeEdges rebuilds the relationship-type records and the edge list
+// into p, which holds the previous Freeze's parts or none. A
+// relationship whose value sets gained no pair copies its segment from
+// the previous edge list — segments lie in relationship order, so its
+// offset is the sum of the previous counts before it — and any other
+// regenerates its segment from the value sets.
+func (g *Graph) freezeEdges(p *graph.Parts) {
+	rels := make([]graph.RelType, len(g.rels))
+	total := 0
+	for r, rt := range g.rels {
+		rels[r] = graph.RelType{Name: rt.Name, From: rt.From, To: rt.To, EdgeCount: g.hist[r][0].pairs}
+		total += rels[r].EdgeCount
+	}
+	edges := make([]graph.Edge, 0, total)
+	var srcs []graph.EntityID
+	off := 0
+	for r := range g.rels {
+		if r < len(p.RelTypes) {
+			seg := p.Edges[off : off+p.RelTypes[r].EdgeCount]
+			off += len(seg)
+			if !g.fz.rels[r] {
+				edges = append(edges, seg...)
+				continue
+			}
+		}
+		h := g.hist[r][0]
+		srcs = srcs[:0]
 		for e := range h.values {
 			srcs = append(srcs, e)
 		}
-		sort.Slice(srcs, func(a, b int) bool { return srcs[a] < srcs[b] })
+		slices.Sort(srcs)
 		for _, e := range srcs {
 			for _, v := range h.values[e] {
-				b.Edge(b.Entity(g.entNames[e]), b.Entity(g.entNames[v]), relIDs[ri])
+				edges = append(edges, graph.Edge{From: e, To: v, Rel: graph.RelTypeID(r)})
 			}
 		}
 	}
-	return b.Build()
+	p.RelTypes, p.Edges = rels, edges
 }

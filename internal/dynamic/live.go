@@ -10,8 +10,9 @@
 // already paid during mutation, an O(K²)-per-iteration warm-started walk
 // re-solve, and an O(K + N) assembly) instead of score.Compute's
 // O(|Vd| + |Ed|) rescan. The frozen entity graph — needed only to
-// materialize tuples — is rebuilt per publication; it is the one full-scan
-// cost of the write path, and it buys readers lock-free access to a graph
+// materialize tuples — is republished with each epoch through Graph.Freeze,
+// which rebuilds only the parts the batch changed and shares the rest with
+// the previous epoch's graph; it buys readers lock-free access to a graph
 // that can never change underneath them.
 package dynamic
 

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +48,7 @@ type leaderProc struct {
 	lives   map[string]*dynamic.Live
 	wals    map[string]*storage.WAL
 	walRoot string
+	down    atomic.Bool // set by crash: every request is dropped unanswered
 }
 
 func startLeaderProc(t testing.TB, shardID string, graphs []string, root string) *leaderProc {
@@ -88,18 +90,32 @@ func startLeaderProc(t testing.TB, shardID string, graphs []string, root string)
 	srv.OnAdopt = adopter.Adopt
 	srv.OnGraphPromote = adopter.Promote
 	srv.OnDrop = adopter.Drop
-	lp.ts = httptest.NewServer(srv)
+	lp.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if lp.down.Load() {
+			// A dead process answers nothing: drop the connection.
+			panic(http.ErrAbortHandler)
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(lp.ts.Close)
 	return lp
 }
 
-// crash kills the process SIGKILL-style: established connections are
-// severed mid-flight and the listener stops accepting, but nothing is
-// flushed or closed cleanly — whatever the WAL holds on disk is exactly
-// what a crashed process would leave behind.
+// crash kills the process SIGKILL-style: from now on every request, on
+// any connection, is dropped unanswered, and established connections
+// are severed mid-flight; nothing is flushed or closed cleanly —
+// whatever the WAL holds on disk is exactly what a crashed process
+// would leave behind.
+//
+// The listener stays bound, refusing service, instead of closing. Closing
+// it raced with severing the connections: a client that redialled while
+// they were being closed got a fresh connection that survived, so the
+// router's pooled transport kept reaching the "dead" leader — its health
+// probe succeeded and replicas kept pulling epochs from it. A bound port
+// also cannot be taken over by another process.
 func (lp *leaderProc) crash() {
+	lp.down.Store(true)
 	lp.ts.CloseClientConnections()
-	lp.ts.Listener.Close()
 }
 
 // followerProc is one replica "process": a registry hosting one durable

@@ -139,26 +139,65 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Build finalizes the graph: it computes per-type entity lists, adjacency
-// indexes, and the schema-graph incidence lists, and returns the immutable
-// EntityGraph. The builder must not be reused after Build.
+// Build finalizes the graph: it computes per-type entity lists and
+// hands the parts to Assemble, which adds the adjacency indexes and the
+// schema-graph incidence lists. The builder must not be reused after
+// Build.
 func (b *Builder) Build() (*EntityGraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	for i := range b.entities {
-		if len(b.entities[i].Types) == 0 {
-			return nil, fmt.Errorf("entity %q has no type", b.entities[i].Name)
+	// Per-type entity lists (sorted by construction order of ids).
+	for ei := range b.entities {
+		for _, t := range b.entities[ei].Types {
+			b.types[t].Entities = append(b.types[t].Entities, EntityID(ei))
 		}
 	}
+	return Assemble(Parts{
+		Entities:     b.entities,
+		Types:        b.types,
+		RelTypes:     b.relTypes,
+		Edges:        b.edges,
+		EntityByName: b.entityByName,
+		TypeByName:   b.typeByName,
+	}, nil)
+}
 
+// Parts are the canonical pieces of an EntityGraph: everything but the
+// indexes derived from them. IDs are positions: entity i is Entities[i],
+// and so on.
+type Parts struct {
+	Entities     []Entity     // each Types list sorted
+	Types        []EntityType // each Entities list sorted
+	RelTypes     []RelType    // EdgeCount = edges of that type in Edges
+	Edges        []Edge
+	EntityByName map[string]EntityID
+	TypeByName   map[string]TypeID
+}
+
+// Assemble finalizes canonical parts into an immutable EntityGraph: it
+// checks that every entity has a type, then computes the entity
+// adjacency and the schema-graph incidence lists. The graph takes the
+// parts as they are, so the caller must never mutate them afterwards;
+// they may be shared with other immutable graphs.
+//
+// If prev is non-nil and p carries prev's own edge slice (the same
+// backing array and length) over the same number of entities, prev's
+// adjacency is shared instead of recomputed: edges are immutable once
+// assembled, so identical slices have identical adjacency.
+func Assemble(p Parts, prev *EntityGraph) (*EntityGraph, error) {
+	for i := range p.Entities {
+		if len(p.Entities[i].Types) == 0 {
+			return nil, fmt.Errorf("entity %q has no type", p.Entities[i].Name)
+		}
+	}
 	g := &EntityGraph{
-		entities:     b.entities,
-		types:        b.types,
-		relTypes:     b.relTypes,
-		edges:        b.edges,
-		entityByName: b.entityByName,
-		typeByName:   b.typeByName,
+		entities:     p.Entities,
+		types:        p.Types,
+		relTypes:     p.RelTypes,
+		edges:        p.Edges,
+		entityByName: p.EntityByName,
+		typeByName:   p.TypeByName,
 	}
 	if g.entityByName == nil {
 		g.entityByName = map[string]EntityID{}
@@ -167,36 +206,10 @@ func (b *Builder) Build() (*EntityGraph, error) {
 		g.typeByName = map[string]TypeID{}
 	}
 
-	// Per-type entity lists (sorted by construction order of ids).
-	for ei := range g.entities {
-		for _, t := range g.entities[ei].Types {
-			g.types[t].Entities = append(g.types[t].Entities, EntityID(ei))
-		}
-	}
-
-	// Entity adjacency. Two passes: count, then fill from a single backing
-	// array to keep the index compact.
-	outCount := make([]int32, len(g.entities))
-	inCount := make([]int32, len(g.entities))
-	for _, e := range g.edges {
-		outCount[e.From]++
-		inCount[e.To]++
-	}
-	g.out = make([][]EdgeID, len(g.entities))
-	g.in = make([][]EdgeID, len(g.entities))
-	outBacking := make([]EdgeID, len(g.edges))
-	inBacking := make([]EdgeID, len(g.edges))
-	var op, ip int32
-	for i := range g.entities {
-		g.out[i] = outBacking[op : op : op+outCount[i]]
-		op += outCount[i]
-		g.in[i] = inBacking[ip : ip : ip+inCount[i]]
-		ip += inCount[i]
-	}
-	for ei := range g.edges {
-		e := &g.edges[ei]
-		g.out[e.From] = append(g.out[e.From], EdgeID(ei))
-		g.in[e.To] = append(g.in[e.To], EdgeID(ei))
+	if prev != nil && len(prev.entities) == len(g.entities) && sameEdges(prev.edges, g.edges) {
+		g.out, g.in = prev.out, prev.in
+	} else {
+		g.out, g.in = adjacency(len(g.entities), g.edges)
 	}
 
 	// Schema incidence lists.
@@ -206,6 +219,39 @@ func (b *Builder) Build() (*EntityGraph, error) {
 		g.schemaOut[rt.From] = append(g.schemaOut[rt.From], RelTypeID(ri))
 		g.schemaIn[rt.To] = append(g.schemaIn[rt.To], RelTypeID(ri))
 	}
-
 	return g, nil
+}
+
+// sameEdges reports whether a and b are the same slice: one backing
+// array, one length.
+func sameEdges(a, b []Edge) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// adjacency computes the per-entity outgoing and incoming edge lists in
+// two passes — count, then fill — each from one backing array to keep
+// the index compact.
+func adjacency(n int, edges []Edge) (out, in [][]EdgeID) {
+	outCount := make([]int32, n)
+	inCount := make([]int32, n)
+	for _, e := range edges {
+		outCount[e.From]++
+		inCount[e.To]++
+	}
+	out = make([][]EdgeID, n)
+	in = make([][]EdgeID, n)
+	outBacking := make([]EdgeID, len(edges))
+	inBacking := make([]EdgeID, len(edges))
+	var op, ip int32
+	for i := 0; i < n; i++ {
+		out[i] = outBacking[op : op : op+outCount[i]]
+		op += outCount[i]
+		in[i] = inBacking[ip : ip : ip+inCount[i]]
+		ip += inCount[i]
+	}
+	for ei, e := range edges {
+		out[e.From] = append(out[e.From], EdgeID(ei))
+		in[e.To] = append(in[e.To], EdgeID(ei))
+	}
+	return out, in
 }

@@ -63,7 +63,8 @@ type Edge struct {
 }
 
 // EntityGraph is an immutable directed entity multigraph together with its
-// uniquely determined schema graph. Construct one with a Builder.
+// uniquely determined schema graph. Construct one with a Builder, or from
+// canonical parts with Assemble.
 type EntityGraph struct {
 	entities []Entity
 	types    []EntityType
