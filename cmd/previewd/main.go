@@ -83,7 +83,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "with -mutable: directory for per-graph write-ahead logs; every batch is logged and fsynced before its epoch is acknowledged, and startup replays checkpoint + WAL tail to resume at the exact pre-crash epoch")
 	follow := flag.String("follow", "", "run as a read replica of the leader previewd at this base URL: its replicated graphs are bootstrapped and tail-followed over WAL shipping, writes here answer 503 naming the leader; add -wal-dir and -checkpoint-dir to make the replica durable (restart resumes from local state)")
 	noRespCache := flag.Bool("no-response-cache", false, "disable the epoch-keyed response cache: every read renders cold (ETags and conditional GETs still work; useful for measuring the cache's effect)")
-	anytimeBudget := flag.Int("anytime-budget", service.DefaultAnytimeBudget, "candidate-subset budget for ?anytime=1 preview requests: the immediate answer is the best preview found within this many scored subsets while background refinement converges on the exact one (0 = no bound, anytime answers are exact)")
+	anytimeBudget := flag.Int("anytime-budget", service.DefaultAnytimeBudget, "candidate-subset budget for ?anytime=1 preview requests: the immediate answer is the best preview found within this many generated candidates (partial subsets of the depth-first search) while background refinement converges on the exact one (0 = no bound, anytime answers are exact)")
 	var loads []func() (string, *previewtables.EntityGraph, error) // deferred so -scale applies regardless of flag order
 	flag.Func("graph", "register a graph: name=path (repeatable; format by extension)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")

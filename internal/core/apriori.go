@@ -18,162 +18,138 @@ package core
 // than as a slice of slices: the d-sweep experiments of Fig. 9 generate
 // millions of candidates at loose distance constraints, and per-candidate
 // slice headers would triple the memory bill.
+//
+// One kernel, aprioriTop2, serves every worker count: each stage is
+// partitioned into spans (parallel.go), and at one worker the single span
+// runs inline on the calling goroutine. CliqueDFS and AnytimeBest share
+// one sequential depth-first enumeration, cliqueSearch.
 
 import (
-	"math"
-
 	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/par"
 )
 
-// Apriori solves optimal tight/diverse preview discovery. In Concise mode
-// (no distance constraint) every pair is compatible, making it an exhaustive
-// — and slower — equivalent of BruteForce; it is permitted for testing but
-// DynamicProgramming should be preferred.
+// Apriori solves optimal tight/diverse preview discovery: AprioriParallel
+// at one worker. In Concise mode (no distance constraint) every pair is
+// compatible, making it an exhaustive — and slower — equivalent of
+// BruteForce; it is permitted for testing but DynamicProgramming should be
+// preferred.
 func (d *Discoverer) Apriori(c Constraint) (Preview, error) {
-	p, _, err := d.aprioriTop2(c)
+	return d.AprioriParallel(c, 1)
+}
+
+// AprioriParallel is Apriori over workers goroutines (one per core,
+// par.Auto, when workers <= 0). Every stage — each level-wise join, the
+// valid pairs included, and the final candidate scoring — partitions its
+// input into contiguous spans executed by a shared worker pool, with span
+// outputs concatenated in span order so each level's flat layout is the
+// same at any worker count. It returns the same preview, stats included,
+// at any worker count, and ErrSearchBudget under exactly the same
+// candidate volumes.
+func (d *Discoverer) AprioriParallel(c Constraint, workers int) (Preview, error) {
+	p, _, err := d.aprioriTop2(c, workers)
 	return p, err
 }
 
-// aprioriTop2 is Apriori returning, alongside the optimal preview, the
-// runner-up score: the maximum preview score over every feasible k-subset
-// other than the winner (-Inf when the winner is the only feasible
-// subset). The runner-up is what the incremental Maintained state needs —
-// an upper bound on how well any other subset scored — and it is a pure
-// function of the candidate set, so sequential and parallel searches
-// return the same value (top-2 merging is order-independent).
-func (d *Discoverer) aprioriTop2(c Constraint) (Preview, float64, error) {
-	if err := c.Validate(); err != nil {
+// aprioriTop2 is the Apriori kernel. Alongside the optimal preview it
+// returns the runner-up score: the maximum preview score over every
+// feasible k-subset other than the winner (-Inf when the winner is the
+// only feasible subset). The runner-up is what the incremental Maintained
+// state needs — an upper bound on how well any other subset scored — and
+// it is a pure function of the candidate set (see top2), so it is the same
+// at any worker count.
+func (d *Discoverer) aprioriTop2(c Constraint, workers int) (Preview, float64, error) {
+	types, err := d.searchTypes(c)
+	if err != nil {
 		return Preview{}, 0, err
 	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, 0, ErrNoPreview
-	}
-	var stats SearchStats
+	workers = searchWorkers(workers)
 
 	// Level i holds all valid i-subsets as indexes into types, flattened
-	// with stride i, lexicographically sorted by construction.
-	k := c.K
-	var level []int32
-	stride := 0
-	budget := c.MaxCandidates
-	if k == 1 {
-		stride = 1
-		for i := range types {
-			level = append(level, int32(i))
+	// with stride i, lexicographically sorted by construction. Level 1 is
+	// every type; joining it yields the valid pairs.
+	level := make([]int32, len(types))
+	for i := range level {
+		level[i] = int32(i)
+	}
+	var stats SearchStats
+	budget := newBudgetCounter(c.MaxCandidates)
+	for stride := 1; stride < c.K && len(level) > 0; stride++ {
+		if level, err = d.joinLevel(c, types, level, stride, workers, budget); err != nil {
+			return Preview{}, 0, err
 		}
-	} else {
-		stride = 2
-		for i := 0; i < len(types); i++ {
-			for j := i + 1; j < len(types); j++ {
-				if d.distOK(c, types[i], types[j]) {
-					if budget > 0 && len(level)/2 >= budget {
-						return Preview{}, 0, ErrSearchBudget
-					}
-					level = append(level, int32(i), int32(j))
-				}
-			}
-		}
-		stats.CandidatesGenerated += len(level) / 2
-		for size := 3; size <= k && len(level) > 0; size++ {
-			remaining := -1 // negative: unlimited
-			if budget > 0 {
-				// Never negative: earlier levels error before exceeding
-				// the budget. May be exactly 0 — joinLevel must still run,
-				// since an empty join completes the search (ErrNoPreview)
-				// rather than exceeding the budget.
-				remaining = budget - stats.CandidatesGenerated
-			}
-			var err error
-			if level, err = d.joinLevel(c, types, level, stride, remaining); err != nil {
-				return Preview{}, 0, err
-			}
-			stride = size
-			stats.CandidatesGenerated += len(level) / stride
-		}
+		stats.CandidatesGenerated += len(level) / (stride + 1)
 	}
 	if len(level) == 0 {
 		return Preview{}, 0, ErrNoPreview
 	}
 
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		runnerUp  = math.Inf(-1)
-		found     bool
-	)
-	keys := make([]graph.TypeID, k)
-	take := make([]int, k)
-	for off := 0; off < len(level); off += stride {
-		for i := 0; i < stride; i++ {
-			keys[i] = types[level[off+i]]
+	// Score the surviving k-subsets: per-span folds, merged in span order.
+	k := c.K
+	stats.SubsetsScored = len(level) / k
+	spans := spanPlan(stats.SubsetsScored, workers)
+	bests := make([]top2, len(spans))
+	par.ForEach(workers, len(spans), func(si int) {
+		keys := make([]graph.TypeID, k)
+		take := make([]int, k)
+		best := newTop2()
+		for off := spans[si].Lo * k; off < spans[si].Hi*k; off += k {
+			for i := range keys {
+				keys[i] = types[level[off+i]]
+			}
+			best.offer(keys, d.previewScore(keys, c.N, take))
 		}
-		stats.SubsetsScored++
-		score := d.previewScore(keys, c.N, take)
-		// Explicit lexicographic tie-break, matching BruteForce and the
-		// parallel searches' merge step (levels are lex-sorted, so first
-		// wins was already lex-smallest; now the policy is stated).
-		//
-		// Invariant: runnerUp is the max score over scored subsets other
-		// than the current best. When a new subset displaces the best, the
-		// old best (the max of everything before it) becomes the runner-up;
-		// otherwise the new subset competes for runner-up directly.
-		switch {
-		case !found:
-			bestScore = score
-			bestKeys = append(bestKeys[:0], keys...)
-			found = true
-		case score > bestScore || (score == bestScore && lessKeys(keys, bestKeys)):
-			runnerUp = bestScore
-			bestScore = score
-			bestKeys = append(bestKeys[:0], keys...)
-		case score > runnerUp:
-			runnerUp = score
-		}
+		bests[si] = best
+	})
+	win := newTop2()
+	for _, b := range bests {
+		win.merge(b)
 	}
-	if !found {
-		return Preview{}, 0, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
-	if err != nil {
-		return Preview{}, 0, err
-	}
-	best.Stats = stats
-	return best, runnerUp, nil
+	p, err := d.preview(win, c.N, stats)
+	return p, win.second, err
 }
 
-// joinLevel merges a flat level of (size-1)-subsets into the flat level of
-// size-subsets. Blocks sharing a prefix are contiguous because levels are
-// generated in lexicographic order; within a block only the new last-element
-// pair needs a distance check. A non-negative limit caps how many
-// candidates this level may produce before the join aborts with
-// ErrSearchBudget (a limit of 0 errors on the first candidate but lets an
-// empty join complete); negative means unlimited.
-func (d *Discoverer) joinLevel(c Constraint, types []graph.TypeID, level []int32, stride, limit int) ([]int32, error) {
-	var next []int32
+// joinLevel merges a flat level of stride-subsets into the flat level of
+// (stride+1)-subsets. Blocks sharing a prefix are contiguous because
+// levels are generated in lexicographic order; within a block only the
+// new last-element pair needs a distance check (at stride 1 every pair is
+// one block, so the join generates the valid pairs). The blocks are
+// partitioned across workers and span outputs concatenate in span order,
+// so the produced level is the same at any worker count. Every produced
+// candidate takes a budget ticket; ErrSearchBudget reports that the
+// budget ran out (a join that produces nothing completes even when the
+// budget is used up).
+func (d *Discoverer) joinLevel(c Constraint, types []graph.TypeID, level []int32, stride, workers int, budget *budgetCounter) ([]int32, error) {
 	nCands := len(level) / stride
-	produced := 0
-	for a := 0; a < nCands; a++ {
-		offA := a * stride
-		for b := a + 1; b < nCands; b++ {
-			offB := b * stride
-			if !samePrefix(level[offA:offA+stride], level[offB:offB+stride]) {
-				break
+	spans := spanPlan(nCands, workers)
+	parts := make([][]int32, len(spans))
+	par.ForEach(workers, len(spans), func(si int) {
+		var out []int32
+		for a := spans[si].Lo; a < spans[si].Hi && budget.ok(); a++ {
+			offA := a * stride
+			for b := a + 1; b < nCands; b++ {
+				offB := b * stride
+				if !samePrefix(level[offA:offA+stride], level[offB:offB+stride]) {
+					break
+				}
+				ta := types[level[offA+stride-1]]
+				tb := types[level[offB+stride-1]]
+				if !d.distOK(c, ta, tb) {
+					continue
+				}
+				if !budget.take() {
+					return
+				}
+				out = append(out, level[offA:offA+stride]...)
+				out = append(out, level[offB+stride-1])
 			}
-			ta := types[level[offA+stride-1]]
-			tb := types[level[offB+stride-1]]
-			if !d.distOK(c, ta, tb) {
-				continue
-			}
-			if limit >= 0 && produced >= limit {
-				return nil, ErrSearchBudget
-			}
-			produced++
-			next = append(next, level[offA:offA+stride]...)
-			next = append(next, level[offB+stride-1])
 		}
+		parts[si] = out
+	})
+	if !budget.ok() {
+		return nil, ErrSearchBudget
 	}
-	return next, nil
+	return concatInt32(parts), nil
 }
 
 // samePrefix reports whether a and b agree on all but their last element.
@@ -192,74 +168,15 @@ func samePrefix(a, b []int32) bool {
 // clique enumeration; this implementation is the comparison point for that
 // ablation (BenchmarkAblationCliqueEnumeration).
 func (d *Discoverer) CliqueDFS(c Constraint) (Preview, error) {
-	if err := c.Validate(); err != nil {
-		return Preview{}, err
-	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, ErrNoPreview
-	}
-
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		found     bool
-		stats     SearchStats
-	)
-	subset := make([]graph.TypeID, c.K)
-	take := make([]int, c.K)
-	exceeded := false
-	var rec func(pos, start int)
-	rec = func(pos, start int) {
-		if pos == c.K {
-			stats.SubsetsScored++
-			score := d.previewScore(subset, c.N, take)
-			if !found || score > bestScore ||
-				(score == bestScore && lessKeys(subset, bestKeys)) {
-				bestScore = score
-				bestKeys = append(bestKeys[:0], subset...)
-				found = true
-			}
-			return
-		}
-		for i := start; i <= len(types)-(c.K-pos); i++ {
-			if exceeded {
-				return
-			}
-			t := types[i]
-			ok := true
-			for q := 0; q < pos; q++ {
-				if !d.distOK(c, subset[q], t) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			if c.MaxCandidates > 0 && stats.CandidatesGenerated >= c.MaxCandidates {
-				exceeded = true
-				return
-			}
-			stats.CandidatesGenerated++
-			subset[pos] = t
-			rec(pos+1, i+1)
-		}
-	}
-	rec(0, 0)
-
-	if exceeded {
-		return Preview{}, ErrSearchBudget
-	}
-	if !found {
-		return Preview{}, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
+	types, err := d.searchTypes(c)
 	if err != nil {
 		return Preview{}, err
 	}
-	best.Stats = stats
-	return best, nil
+	best, stats, exceeded := d.cliqueSearch(c, types)
+	if exceeded {
+		return Preview{}, ErrSearchBudget
+	}
+	return d.preview(best, c.N, stats)
 }
 
 // AnytimeBest is the anytime variant of discovery: it runs the depth-first
@@ -282,37 +199,37 @@ func (d *Discoverer) AnytimeBest(c Constraint) (Preview, bool, error) {
 		p, err := d.DynamicProgramming(c)
 		return p, true, err
 	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, true, ErrNoPreview
+	types, err := d.searchTypes(c)
+	if err != nil {
+		return Preview{}, true, err // ErrNoPreview: c is valid
 	}
+	best, stats, exceeded := d.cliqueSearch(c, types)
+	if exceeded && !best.found {
+		return Preview{}, false, ErrSearchBudget
+	}
+	p, err := d.preview(best, c.N, stats)
+	return p, !exceeded, err
+}
 
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		found     bool
-		stats     SearchStats
-	)
+// cliqueSearch is the budgeted depth-first k-clique enumeration behind
+// CliqueDFS and AnytimeBest. A partial subset is extended, in
+// lexicographic order, only by types compatible with every member; each
+// extension is one generated candidate, and the enumeration stops at the
+// first candidate past c.MaxCandidates. It returns the best complete
+// subset scored so far, the work done, and whether the budget cut the
+// enumeration short.
+func (d *Discoverer) cliqueSearch(c Constraint, types []graph.TypeID) (best top2, stats SearchStats, exceeded bool) {
+	best = newTop2()
 	subset := make([]graph.TypeID, c.K)
 	take := make([]int, c.K)
-	exceeded := false
 	var rec func(pos, start int)
 	rec = func(pos, start int) {
 		if pos == c.K {
 			stats.SubsetsScored++
-			score := d.previewScore(subset, c.N, take)
-			if !found || score > bestScore ||
-				(score == bestScore && lessKeys(subset, bestKeys)) {
-				bestScore = score
-				bestKeys = append(bestKeys[:0], subset...)
-				found = true
-			}
+			best.offer(subset, d.previewScore(subset, c.N, take))
 			return
 		}
-		for i := start; i <= len(types)-(c.K-pos); i++ {
-			if exceeded {
-				return
-			}
+		for i := start; i <= len(types)-(c.K-pos) && !exceeded; i++ {
 			t := types[i]
 			ok := true
 			for q := 0; q < pos; q++ {
@@ -334,17 +251,5 @@ func (d *Discoverer) AnytimeBest(c Constraint) (Preview, bool, error) {
 		}
 	}
 	rec(0, 0)
-
-	if !found {
-		if exceeded {
-			return Preview{}, false, ErrSearchBudget
-		}
-		return Preview{}, true, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
-	if err != nil {
-		return Preview{}, false, err
-	}
-	best.Stats = stats
-	return best, !exceeded, nil
+	return best, stats, exceeded
 }

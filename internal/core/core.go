@@ -91,10 +91,10 @@ type Options struct {
 	// Parallelism is the worker count for Discoverer construction (the
 	// per-type candidate ranking) and for Discover's search (k-subset
 	// enumeration partitioned across workers for the distance-constrained
-	// modes). Values <= 1 mean sequential. Every search merges per-worker
-	// bests deterministically — equal scores break toward the
-	// lexicographically smallest key subset — so parallel and sequential
-	// runs return identical previews (see parallel.go).
+	// modes). Values <= 1 mean one worker. Every search is one kernel at
+	// any worker count and merges per-span bests deterministically — equal
+	// scores break toward the lexicographically smallest key subset — so
+	// every worker count returns the identical preview (see parallel.go).
 	Parallelism int
 }
 
@@ -212,8 +212,9 @@ func (d *Discoverer) Scores() *score.Set { return d.set }
 func (d *Discoverer) Ranked(t graph.TypeID) []score.RankedIncidence { return d.ranked[t] }
 
 // Distances returns (computing on first use) the all-pairs type distance
-// matrix over the undirected schema graph. Safe for concurrent use: the
-// parallel brute force shares one Discoverer across workers.
+// matrix over the undirected schema graph. Safe for concurrent use: each
+// search is one kernel at any worker count, and its workers share one
+// Discoverer.
 func (d *Discoverer) Distances() *graph.DistanceMatrix {
 	d.distOnce.Do(func() { d.dist = d.schema.AllDistances() })
 	return d.dist
@@ -353,7 +354,11 @@ func (d *Discoverer) previewScore(keys []graph.TypeID, n int, take []int) float6
 // concise previews (Alg. 2), Apriori-style search for tight and diverse
 // previews (Alg. 3). With Options.Parallelism > 1 the tight/diverse search
 // runs on a worker pool (AprioriParallel) and returns the identical
-// preview.
+// preview. Concise previews are not fanned out: the dynamic program's
+// cost is bounded by the display-sized constraint, not the subset space.
 func (d *Discoverer) Discover(c Constraint) (Preview, error) {
-	return d.DiscoverParallel(c, par.Workers(d.opts.Parallelism))
+	if c.Mode == Concise {
+		return d.DynamicProgramming(c)
+	}
+	return d.AprioriParallel(c, par.Workers(d.opts.Parallelism))
 }

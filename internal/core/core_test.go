@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -562,5 +563,52 @@ func TestSearchBudgetExactBoundary(t *testing.T) {
 	c.MaxCandidates = 2 // genuinely starved
 	if _, err := d.Apriori(c); !errors.Is(err, core.ErrSearchBudget) {
 		t.Errorf("starved budget: got %v, want ErrSearchBudget", err)
+	}
+	for _, workers := range []int{1, 4} {
+		c.MaxCandidates = 3
+		if _, err := d.AprioriParallel(c, workers); !errors.Is(err, core.ErrNoPreview) {
+			t.Errorf("workers=%d, budget == candidates generated: got %v, want ErrNoPreview", workers, err)
+		}
+		c.MaxCandidates = 2
+		if _, err := d.AprioriParallel(c, workers); !errors.Is(err, core.ErrSearchBudget) {
+			t.Errorf("workers=%d, starved budget: got %v, want ErrSearchBudget", workers, err)
+		}
+	}
+
+	// The depth-first search counts every extension of a partial subset,
+	// so its candidate volume differs from Apriori's. At a budget equal to
+	// it both DFS searches return the exact answer; one below, CliqueDFS
+	// fails and AnytimeBest reports that it did not converge. K=2 has an
+	// answer (a path edge); K=3 has none. Volumes: K=2 extends a, b, c,
+	// then ab, bc, cd; K=3 extends a, b, then ab, bc.
+	for _, tc := range []struct {
+		k, volume int
+		wantErr   error
+	}{
+		{2, 6, nil},
+		{3, 4, core.ErrNoPreview},
+	} {
+		dc := core.Constraint{K: tc.k, N: tc.k, Mode: core.Tight, D: 1}
+		exact, err := d.CliqueDFS(dc)
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("k=%d unbounded CliqueDFS: got %v, want %v", tc.k, err, tc.wantErr)
+		}
+		if err == nil && exact.Stats.CandidatesGenerated != tc.volume {
+			t.Fatalf("k=%d: DFS generated %d candidates, want %d (fixture drifted)", tc.k, exact.Stats.CandidatesGenerated, tc.volume)
+		}
+		dc.MaxCandidates = tc.volume
+		if p, err := d.CliqueDFS(dc); !errors.Is(err, tc.wantErr) || !reflect.DeepEqual(p, exact) {
+			t.Errorf("k=%d CliqueDFS, budget == volume: got %+v, %v; want %+v, %v", tc.k, p, err, exact, tc.wantErr)
+		}
+		if p, converged, err := d.AnytimeBest(dc); !errors.Is(err, tc.wantErr) || !converged || !reflect.DeepEqual(p, exact) {
+			t.Errorf("k=%d AnytimeBest, budget == volume: got %+v, converged=%v, %v; want %+v, converged, %v", tc.k, p, converged, err, exact, tc.wantErr)
+		}
+		dc.MaxCandidates = tc.volume - 1
+		if _, err := d.CliqueDFS(dc); !errors.Is(err, core.ErrSearchBudget) {
+			t.Errorf("k=%d CliqueDFS, budget below volume: got %v, want ErrSearchBudget", tc.k, err)
+		}
+		if _, converged, _ := d.AnytimeBest(dc); converged {
+			t.Errorf("k=%d AnytimeBest, budget below volume: converged, want not", tc.k)
+		}
 	}
 }

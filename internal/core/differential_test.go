@@ -272,3 +272,113 @@ func TestAprioriParallelBudgetBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestAprioriRunnerUpOracle: the kernel's runner-up score — the rival
+// bound Maintained certifies cached winners against — is the second-best
+// score over every feasible k-subset, at every worker count. The oracle
+// enumerates the subsets here, restating the distance constraint and
+// scoring each subset with ComputePreview.
+func TestAprioriRunnerUpOracle(t *testing.T) {
+	check := func(name string, d *core.Discoverer, c core.Constraint) {
+		t.Helper()
+		wantBest, wantSecond, feasible := oracleTop2(d, c)
+		for _, workers := range []int{1, diffWorkers} {
+			p, runnerUp, err := core.AprioriTop2(d, c, workers)
+			if !feasible {
+				if !errors.Is(err, core.ErrNoPreview) {
+					t.Fatalf("%s %+v workers=%d: got %v, want ErrNoPreview", name, c, workers, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %+v workers=%d: %v", name, c, workers, err)
+			}
+			if !closeScore(p.Score, wantBest) || !closeScore(runnerUp, wantSecond) {
+				t.Fatalf("%s %+v workers=%d: best %v, runner-up %v; oracle %v, %v",
+					name, c, workers, p.Score, runnerUp, wantBest, wantSecond)
+			}
+		}
+	}
+	for name, g := range diffDomains(t) {
+		set := score.Compute(g, score.DefaultWalkOptions())
+		for _, pair := range measurePairs() {
+			d := core.New(set, pair)
+			for _, c := range diffConstraints() {
+				if c.Mode != core.Concise {
+					check(name, d, c)
+				}
+			}
+		}
+	}
+
+	// Path a-b-c plus a separate edge d-e under Tight d=2: {a,b,c} is the
+	// only pairwise-close triple of the ten, so there is no runner-up.
+	s, err := graph.NewSchema([]string{"a", "b", "c", "d", "e"}, []graph.RelType{
+		{Name: "r", From: 0, To: 1}, {Name: "r", From: 1, To: 2}, {Name: "r", From: 3, To: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.New(score.ComputeSchemaOnly(s, score.DefaultWalkOptions()),
+		core.Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	c := core.Constraint{K: 3, N: 3, Mode: core.Tight, D: 2}
+	if _, second, feasible := oracleTop2(d, c); !feasible || !math.IsInf(second, -1) {
+		t.Fatalf("single-subset fixture: oracle runner-up %v (feasible %v), want -Inf", second, feasible)
+	}
+	check("single-subset", d, c)
+}
+
+// oracleTop2 scores every feasible k-subset of usable types and returns
+// the best and second-best scores (-Inf when only one subset is feasible).
+func oracleTop2(d *core.Discoverer, c core.Constraint) (best, second float64, feasible bool) {
+	var types []graph.TypeID
+	for t := 0; t < d.Schema().NumTypes(); t++ {
+		if len(d.Ranked(graph.TypeID(t))) > 0 {
+			types = append(types, graph.TypeID(t))
+		}
+	}
+	ok := func(a, b graph.TypeID) bool {
+		dist := d.Distances().Dist(a, b)
+		if c.Mode == core.Tight {
+			return dist >= 0 && dist <= c.D
+		}
+		return dist < 0 || dist >= c.D
+	}
+	best, second = math.Inf(-1), math.Inf(-1)
+	subset := make([]graph.TypeID, 0, c.K)
+	var rec func(start int)
+	rec = func(start int) {
+		if len(subset) == c.K {
+			p, err := d.ComputePreview(subset, c.N)
+			if err != nil {
+				panic(err)
+			}
+			if p.Score > best {
+				best, second = p.Score, best
+			} else if p.Score > second {
+				second = p.Score
+			}
+			feasible = true
+			return
+		}
+		for i := start; i < len(types); i++ {
+			compatible := true
+			for _, u := range subset {
+				compatible = compatible && ok(u, types[i])
+			}
+			if compatible {
+				subset = append(subset, types[i])
+				rec(i + 1)
+				subset = subset[:len(subset)-1]
+			}
+		}
+	}
+	rec(0)
+	return best, second, feasible
+}
+
+// closeScore compares preview scores up to floating-point summation noise;
+// two -Inf runner-ups are equal.
+func closeScore(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-12*(1+math.Abs(b))
+}

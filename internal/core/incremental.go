@@ -291,7 +291,7 @@ func (m *Maintained) DiscoverAt(epoch uint64, c Constraint) (Preview, error) {
 	m.mu.Unlock()
 
 	m.fullSearches.Add(1)
-	p, runnerUp, err := d.aprioriParallelTop2(c, par.Workers(m.opts.Parallelism))
+	p, runnerUp, err := d.aprioriTop2(c, par.Workers(m.opts.Parallelism))
 
 	m.mu.Lock()
 	if m.inflight[c] == f {

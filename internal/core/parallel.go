@@ -1,29 +1,29 @@
 package core
 
-// Parallel exact search. The k-subset enumerations behind every discovery
-// mode are embarrassingly parallel — the subset space partitions into
-// contiguous ranges, and a Discoverer is read-only during search, so
-// workers share it freely. This file holds the worker-pool versions:
-// BruteForceParallel (Alg. 1 partitioned by first element) and
-// AprioriParallel (Alg. 3 with every level-wise stage partitioned into
-// spans). Both promise results identical to their sequential
-// counterparts:
+// Search kernels and their worker-pool discipline. The k-subset
+// enumerations behind every discovery mode are embarrassingly parallel —
+// the subset space partitions into contiguous ranges, and a Discoverer is
+// read-only during search, so workers share it freely. Each search
+// (BruteForce, Alg. 1 partitioned by first element; Apriori, Alg. 3 with
+// every level-wise stage partitioned into spans) is one kernel that runs
+// at any worker count: at one worker its plan is a single span that
+// par.ForEach runs inline, so the sequential search is the parallel code,
+// not a copy of it. Results never depend on the worker count:
 //
 //   - Candidate order is preserved: each stage's spans are concatenated in
-//     span order, reproducing the sequential (lexicographic) level layout
-//     exactly, so downstream stages see the same input either way.
-//   - Per-worker bests merge deterministically: equal scores break toward
-//     the lexicographically smallest key subset (lessKeys), the same
-//     policy the sequential searches state inline — which subset a worker
-//     happened to score never shows through.
+//     span order, reproducing the lexicographic level layout exactly, so
+//     downstream stages see the same input at any worker count.
+//   - Per-span bests merge deterministically (top2): equal scores break
+//     toward the lexicographically smallest key subset (lessKeys), so
+//     which subset a worker happened to score never shows through.
 //   - The Constraint.MaxCandidates budget is enforced through a shared
 //     atomic counter: the search errors with ErrSearchBudget exactly when
-//     the total candidate volume exceeds the budget, the same outcome as
-//     the sequential check. Workers may transiently overshoot the counter
-//     before observing the abort flag (by at most one in-flight candidate
-//     per worker — the first failed take stops a worker's stage), but the
-//     overshoot is never published: success and failure, and the preview
-//     returned on success, are identical at any worker count.
+//     the total candidate volume exceeds the budget. Workers may
+//     transiently overshoot the counter before observing the abort flag
+//     (by at most one in-flight candidate per worker — the first failed
+//     take stops a worker's stage), but the overshoot is never published:
+//     success and failure, and the preview returned on success, are
+//     identical at any worker count.
 //
 // This is an engineering extension beyond the paper (whose C++
 // implementation was single-threaded); it makes ground-truth validation of
@@ -32,105 +32,102 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/par"
 )
 
-// BruteForceParallel is BruteForce distributed over workers goroutines
-// (NumCPU when workers <= 0). It returns a preview with exactly the same
-// score as BruteForce; when several subsets tie, it deterministically
-// returns the lexicographically smallest tied key subset, so results do
-// not depend on scheduling.
-func (d *Discoverer) BruteForceParallel(c Constraint, workers int) (Preview, error) {
+// spanFactor is how many spans each stage plans per worker when there is
+// more than one. More spans than workers keeps the pull-based pool
+// load-balanced when candidate blocks are skewed; the partition never
+// affects results, only balance.
+const spanFactor = 8
+
+// searchWorkers resolves a search's worker count: one worker per core
+// (par.Auto) when workers <= 0.
+func searchWorkers(workers int) int {
+	if workers <= 0 {
+		return par.Auto()
+	}
+	return workers
+}
+
+// spanPlan partitions n work items for a stage run on workers: a single
+// span at one worker (there is nothing to balance, and per-span slots
+// would only cost allocations), spanFactor spans per worker otherwise.
+func spanPlan(n, workers int) []par.Span {
+	chunks := workers * spanFactor
+	if workers == 1 {
+		chunks = 1
+	}
+	return par.Spans(n, chunks)
+}
+
+// searchTypes validates c and returns the usable types a k-subset search
+// enumerates, or ErrNoPreview when there are fewer than c.K of them.
+func (d *Discoverer) searchTypes(c Constraint) ([]graph.TypeID, error) {
 	if err := c.Validate(); err != nil {
-		return Preview{}, err
+		return nil, err
 	}
 	types := d.usableTypes()
 	if len(types) < c.K {
-		return Preview{}, ErrNoPreview
+		return nil, ErrNoPreview
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	if c.Mode != Concise {
+		d.Distances() // materialize once, not under every worker's first query
 	}
-	if workers > len(types) {
-		workers = len(types)
-	}
+	return types, nil
+}
 
-	type result struct {
-		keys   []graph.TypeID
-		score  float64
-		found  bool
-		scored int
-	}
-	results := make([]result, workers)
-	firstIdx := make(chan int)
+// top2 folds scored key subsets into the best one and the runner-up
+// score. The best is the highest score, equal scores breaking toward the
+// lexicographically smallest subset; the runner-up is the maximum score
+// over every other subset offered (-Inf when there is none). Both are
+// functions of the set of offered subsets, not of the order they arrive
+// in, so per-span folds merge to the same result at any worker count.
+type top2 struct {
+	keys   []graph.TypeID
+	score  float64
+	second float64
+	found  bool
+}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			subset := make([]graph.TypeID, c.K)
-			take := make([]int, c.K)
-			res := &results[w]
-			var rec func(pos, start int)
-			rec = func(pos, start int) {
-				if pos == c.K {
-					if c.Mode != Concise && !d.pairwiseOK(c, subset) {
-						return
-					}
-					res.scored++
-					score := d.previewScore(subset, c.N, take)
-					if !res.found || score > res.score ||
-						(score == res.score && lessKeys(subset, res.keys)) {
-						res.score = score
-						res.keys = append(res.keys[:0], subset...)
-						res.found = true
-					}
-					return
-				}
-				for i := start; i <= len(types)-(c.K-pos); i++ {
-					subset[pos] = types[i]
-					rec(pos+1, i+1)
-				}
-			}
-			for i := range firstIdx {
-				if i > len(types)-c.K {
-					continue
-				}
-				subset[0] = types[i]
-				rec(1, i+1)
-			}
-		}(w)
-	}
-	for i := 0; i <= len(types)-c.K; i++ {
-		firstIdx <- i
-	}
-	close(firstIdx)
-	wg.Wait()
+func newTop2() top2 { return top2{second: math.Inf(-1)} }
 
-	var (
-		best  result
-		stats SearchStats
-	)
-	for _, res := range results {
-		stats.SubsetsScored += res.scored
-		if !res.found {
-			continue
-		}
-		if !best.found || res.score > best.score ||
-			(res.score == best.score && lessKeys(res.keys, best.keys)) {
-			best = res
-		}
+// offer folds in one scored subset; keys is copied.
+func (t *top2) offer(keys []graph.TypeID, score float64) {
+	switch {
+	case !t.found:
+		t.score = score
+		t.keys = append(t.keys[:0], keys...)
+		t.found = true
+	case score > t.score || (score == t.score && lessKeys(keys, t.keys)):
+		// The displaced best competes for runner-up (after a merge the
+		// runner-up may already exceed it).
+		t.second = math.Max(t.second, t.score)
+		t.score = score
+		t.keys = append(t.keys[:0], keys...)
+	case score > t.second:
+		t.second = score
 	}
+}
+
+// merge folds in another fold's subsets.
+func (t *top2) merge(o top2) {
+	t.second = math.Max(t.second, o.second)
+	if o.found {
+		t.offer(o.keys, o.score)
+	}
+}
+
+// preview materializes a finished search's winner, or reports
+// ErrNoPreview when it scored nothing.
+func (d *Discoverer) preview(best top2, n int, stats SearchStats) (Preview, error) {
 	if !best.found {
 		return Preview{}, ErrNoPreview
 	}
-	p, err := d.ComputePreview(best.keys, c.N)
+	p, err := d.ComputePreview(best.keys, n)
 	if err != nil {
 		return Preview{}, err
 	}
@@ -151,30 +148,13 @@ func lessKeys(a, b []graph.TypeID) bool {
 	return len(a) < len(b)
 }
 
-// DiscoverParallel is Discover with an explicit worker count: dynamic
-// programming for concise previews (whose cost is bounded by the
-// display-sized constraint, not the subset space — there is nothing worth
-// fanning out), AprioriParallel for tight and diverse previews. It returns
-// exactly the preview Discover returns.
-func (d *Discoverer) DiscoverParallel(c Constraint, workers int) (Preview, error) {
-	if c.Mode == Concise {
-		return d.DynamicProgramming(c)
-	}
-	return d.AprioriParallel(c, workers)
-}
-
-// spanFactor is how many spans each stage plans per worker. More spans
-// than workers keeps the pull-based pool load-balanced when candidate
-// blocks are skewed; the partition never affects results, only balance.
-const spanFactor = 8
-
 // budgetCounter enforces Constraint.MaxCandidates across workers: every
 // produced candidate takes one ticket from a shared atomic counter, and
 // the first take past the limit raises the exceeded flag that workers poll
 // at stage boundaries. The counter may transiently run past the limit
 // (bounded by one in-flight candidate per worker), but the overshoot is
 // never published — the search's outcome depends only on whether the total
-// candidate volume exceeds the budget, exactly like the sequential check.
+// candidate volume exceeds the budget.
 type budgetCounter struct {
 	limit    int64 // <= 0: unlimited
 	produced atomic.Int64
@@ -205,8 +185,12 @@ func (b *budgetCounter) take() bool {
 func (b *budgetCounter) ok() bool { return !b.exceeded.Load() }
 
 // concatInt32 concatenates span outputs in span order, reproducing the
-// sequential enumeration order exactly.
+// lexicographic enumeration order exactly. A single part (the one-worker
+// plan) is returned as is.
 func concatInt32(parts [][]int32) []int32 {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	var n int
 	for _, p := range parts {
 		n += len(p)
@@ -216,202 +200,4 @@ func concatInt32(parts [][]int32) []int32 {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// AprioriParallel is Apriori distributed over workers goroutines (NumCPU
-// when workers <= 0; the sequential implementation when workers == 1).
-// Every stage — valid-pair generation, each level-wise join, and the final
-// candidate scoring — partitions its input into contiguous spans executed
-// by a shared worker pool, with span outputs concatenated in span order so
-// each level's flat layout matches the sequential search bit for bit. It
-// returns exactly the preview (and stats) Apriori returns, including
-// ErrSearchBudget under exactly the same candidate volumes.
-func (d *Discoverer) AprioriParallel(c Constraint, workers int) (Preview, error) {
-	p, _, err := d.aprioriParallelTop2(c, workers)
-	return p, err
-}
-
-// aprioriParallelTop2 is AprioriParallel returning the runner-up score
-// alongside the optimal preview (see aprioriTop2). The runner-up is the
-// max over all scored subsets other than the winner — a max over a fixed
-// set — so per-span (best, runner-up) pairs merge to the same value the
-// sequential scan computes, at any worker count.
-func (d *Discoverer) aprioriParallelTop2(c Constraint, workers int) (Preview, float64, error) {
-	if err := c.Validate(); err != nil {
-		return Preview{}, 0, err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers == 1 {
-		return d.aprioriTop2(c)
-	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, 0, ErrNoPreview
-	}
-	if c.Mode != Concise {
-		d.Distances() // materialize once, not under every worker's first query
-	}
-
-	k := c.K
-	budget := newBudgetCounter(c.MaxCandidates)
-	candTotal := 0 // CandidatesGenerated, accumulated from level lengths
-	var level []int32
-	stride := 0
-	if k == 1 {
-		stride = 1
-		level = make([]int32, len(types))
-		for i := range types {
-			level[i] = int32(i)
-		}
-	} else {
-		// Level 2: valid pairs, partitioned by first element.
-		stride = 2
-		spans := par.Spans(len(types), workers*spanFactor)
-		parts := make([][]int32, len(spans))
-		par.ForEach(workers, len(spans), func(si int) {
-			var out []int32
-			for i := spans[si].Lo; i < spans[si].Hi && budget.ok(); i++ {
-				for j := i + 1; j < len(types); j++ {
-					if !d.distOK(c, types[i], types[j]) {
-						continue
-					}
-					if !budget.take() {
-						return
-					}
-					out = append(out, int32(i), int32(j))
-				}
-			}
-			parts[si] = out
-		})
-		if !budget.ok() {
-			return Preview{}, 0, ErrSearchBudget
-		}
-		level = concatInt32(parts)
-		candTotal += len(level) / 2
-		for size := 3; size <= k && len(level) > 0; size++ {
-			var err error
-			if level, err = d.joinLevelParallel(c, types, level, stride, workers, budget); err != nil {
-				return Preview{}, 0, err
-			}
-			stride = size
-			candTotal += len(level) / stride
-		}
-	}
-	stats := SearchStats{CandidatesGenerated: candTotal}
-	if len(level) == 0 {
-		return Preview{}, 0, ErrNoPreview
-	}
-
-	// Score the surviving k-subsets: per-span bests, merged in span order
-	// with the lexicographic tie-break. Spans cover ascending candidate
-	// ranges of a lex-sorted level, so the merged winner is the same
-	// subset the sequential scan keeps.
-	nCands := len(level) / stride
-	type best struct {
-		keys   []graph.TypeID
-		score  float64
-		second float64 // max score in span excluding keys; -Inf if none
-		found  bool
-	}
-	spans := par.Spans(nCands, workers*spanFactor)
-	bests := make([]best, len(spans))
-	par.ForEach(workers, len(spans), func(si int) {
-		keys := make([]graph.TypeID, stride)
-		take := make([]int, stride)
-		res := &bests[si]
-		res.second = math.Inf(-1)
-		for cand := spans[si].Lo; cand < spans[si].Hi; cand++ {
-			off := cand * stride
-			for i := 0; i < stride; i++ {
-				keys[i] = types[level[off+i]]
-			}
-			score := d.previewScore(keys, c.N, take)
-			switch {
-			case !res.found:
-				res.score = score
-				res.keys = append(res.keys[:0], keys...)
-				res.found = true
-			case score > res.score || (score == res.score && lessKeys(keys, res.keys)):
-				res.second = res.score
-				res.score = score
-				res.keys = append(res.keys[:0], keys...)
-			case score > res.second:
-				res.second = score
-			}
-		}
-	})
-	stats.SubsetsScored = nCands
-	// Merge: the global runner-up is the max over every span's runner-up
-	// plus every span best that is not the global winner. Folding a
-	// displaced winner's score at displacement time covers the bests seen
-	// before the winner; bests after it fold in directly.
-	win := best{second: math.Inf(-1)}
-	runnerUp := math.Inf(-1)
-	for _, rb := range bests {
-		if rb.second > runnerUp {
-			runnerUp = rb.second
-		}
-		if !rb.found {
-			continue
-		}
-		switch {
-		case !win.found:
-			win = rb
-		case rb.score > win.score || (rb.score == win.score && lessKeys(rb.keys, win.keys)):
-			if win.score > runnerUp {
-				runnerUp = win.score
-			}
-			win = rb
-		case rb.score > runnerUp:
-			runnerUp = rb.score
-		}
-	}
-	if !win.found {
-		return Preview{}, 0, ErrNoPreview
-	}
-	p, err := d.ComputePreview(win.keys, c.N)
-	if err != nil {
-		return Preview{}, 0, err
-	}
-	p.Stats = stats
-	return p, runnerUp, nil
-}
-
-// joinLevelParallel is joinLevel with the candidate blocks partitioned
-// across workers. Span outputs concatenate in span order, so the produced
-// level is identical to the sequential join's; the budget flows through
-// the shared counter.
-func (d *Discoverer) joinLevelParallel(c Constraint, types []graph.TypeID, level []int32, stride, workers int, budget *budgetCounter) ([]int32, error) {
-	nCands := len(level) / stride
-	spans := par.Spans(nCands, workers*spanFactor)
-	parts := make([][]int32, len(spans))
-	par.ForEach(workers, len(spans), func(si int) {
-		var out []int32
-		for a := spans[si].Lo; a < spans[si].Hi && budget.ok(); a++ {
-			offA := a * stride
-			for b := a + 1; b < nCands; b++ {
-				offB := b * stride
-				if !samePrefix(level[offA:offA+stride], level[offB:offB+stride]) {
-					break
-				}
-				ta := types[level[offA+stride-1]]
-				tb := types[level[offB+stride-1]]
-				if !d.distOK(c, ta, tb) {
-					continue
-				}
-				if !budget.take() {
-					return
-				}
-				out = append(out, level[offA:offA+stride]...)
-				out = append(out, level[offB+stride-1])
-			}
-		}
-		parts[si] = out
-	})
-	if !budget.ok() {
-		return nil, ErrSearchBudget
-	}
-	return concatInt32(parts), nil
 }

@@ -139,7 +139,8 @@ func (d *Discoverer) DynamicProgramming(c Constraint) (Preview, error) {
 func (d *Discoverer) Apriori(c Constraint) (Preview, error) { return d.d.Apriori(c) }
 
 // BruteForceParallel is BruteForce distributed over worker goroutines
-// (NumCPU when workers <= 0), with deterministic tie-breaking.
+// (one per core, GOMAXPROCS, when workers <= 0). It returns the same
+// preview as BruteForce: ties break deterministically.
 func (d *Discoverer) BruteForceParallel(c Constraint, workers int) (Preview, error) {
 	return d.d.BruteForceParallel(c, workers)
 }
